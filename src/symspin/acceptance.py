@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from . import coordinates, lie_engine, simulator, synthesis
+from .lie_engine import _spin_j_projectors
 from .spin_model import (
     ghz_state,
     hamiltonian_x,
@@ -36,23 +37,6 @@ def _closure(n: int):
         gens = lie_engine._standard_generators(n)
         _CLOSURE_CACHE[n] = lie_engine.closure(gens)
     return _CLOSURE_CACHE[n]
-
-
-def _spin_j_projectors(n: int) -> dict:
-    """Projectors onto the total-spin-j isotypic components of n spins,
-    keyed by 2j.
-
-    They come from the Casimir J^2 = (H_x^2 + H_y^2)/4 + (H_zz + n/2)/2,
-    whose eigenvalue on the spin-j component is j(j+1).
-    """
-    hx, hy, hzz = hamiltonian_x(n), hamiltonian_y(n), hamiltonian_zz(n)
-    casimir = (hx @ hx + hy @ hy) / 4 + (hzz + (n / 2) * np.eye(2**n)) / 2
-    evals, vecs = np.linalg.eigh(casimir)
-    two_j = np.rint(np.sqrt(1 + 4 * evals) - 1).astype(int)
-    return {
-        int(k): vecs[:, two_j == k] @ vecs[:, two_j == k].conj().T
-        for k in np.unique(two_j)
-    }
 
 
 def _block_trace_bound(projectors: dict) -> int:

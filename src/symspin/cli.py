@@ -101,19 +101,7 @@ def _cmd_basis(args):
 
 
 def _cmd_identities(args):
-    results = []
-    for ident in lie_engine.identity_catalog(args.n):
-        holds, measured = lie_engine.check_bracket_identity(ident)
-        results.append(
-            {
-                "name": ident.name,
-                "lhs": [list(ident.lhs[0]), list(ident.lhs[1])],
-                "stated_rhs": [[c, list(t)] for c, t in ident.rhs],
-                "measured_rhs": [[c, list(t)] for c, t in measured],
-                "holds": holds,
-            }
-        )
-    return {"n": args.n, "identities": results}, 0
+    return {"n": args.n, "identities": lie_engine.identity_results(args.n)}, 0
 
 
 def _cmd_synth(args):

@@ -42,13 +42,27 @@ def pauli_string_matrix(labels) -> np.ndarray:
 
     The first label is the most significant tensor factor, so for
     ``("x", "0")`` the result acts with sigma-x on spin 1.
+
+    Built directly as a signed permutation matrix: with ``pauli("y") =
+    -i X Z``, the string is ``(-i)^{#y} X^xmask Z^zmask``, whose only
+    nonzero entries are ``[c ^ xmask, c] = (-i)^{#y} (-1)^{|c & zmask|}``.
     """
     labels = tuple(str(l) for l in labels)
     if not labels:
         raise ValueError("empty Pauli string")
-    out = pauli(labels[0])
-    for l in labels[1:]:
-        out = np.kron(out, pauli(l))
+    xmask = zmask = 0
+    for l in labels:
+        if l not in _PAULI:
+            raise ValueError(f"unknown Pauli label {l!r}")
+        xmask = (xmask << 1) | (l in "xy")
+        zmask = (zmask << 1) | (l in "yz")
+    cols = np.arange(1 << len(labels))
+    parity = np.zeros_like(cols)
+    for bit in range(zmask.bit_length()):
+        if zmask >> bit & 1:
+            parity ^= cols >> bit
+    out = np.zeros((cols.size, cols.size), dtype=complex)
+    out[cols ^ xmask, cols] = (-1j) ** (xmask & zmask).bit_count() * (1 - 2 * (parity & 1))
     return out
 
 

@@ -1,5 +1,7 @@
 """Checks for the dense matrix utilities."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,25 @@ def test_pauli_string_matrix_explicit():
         pauli_string_matrix("zyx"), kron(pauli("z"), kron(pauli("y"), pauli("x")))
     )
     assert np.allclose(pauli_string_matrix("00"), np.eye(4))
+
+
+def _kron_chain(labels):
+    out = pauli(labels[0])
+    for label in labels[1:]:
+        out = np.kron(out, pauli(label))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_string_matrix_matches_kron_chain(n):
+    for labels in itertools.product("0xyz", repeat=n):
+        assert np.array_equal(pauli_string_matrix(labels), _kron_chain(labels)), labels
+
+
+@pytest.mark.parametrize("labels", ["", "x1", "xw0", ("x", "xy"), ("z", "")])
+def test_pauli_string_matrix_rejects_bad_labels(labels):
+    with pytest.raises(ValueError):
+        pauli_string_matrix(labels)
 
 
 def test_commutator_antisymmetric_and_traceless():
