@@ -15,7 +15,9 @@ import numpy as np
 
 from . import acceptance, coordinates, lie_engine, simulator, synthesis
 from .spin_model import (
+    N_MAX,
     SpinState,
+    dicke_basis,
     ghz_state,
     hamiltonian_x,
     hamiltonian_y,
@@ -126,8 +128,7 @@ def _cmd_transfer(args):
 
 
 def _symmetric_embed(n: int, coords) -> SpinState:
-    basis = np.column_stack([phi_state(n, m).amplitudes for m in range(n + 1)])
-    return SpinState(n=n, amplitudes=basis @ coords)
+    return SpinState(n=n, amplitudes=dicke_basis(n) @ coords)
 
 
 def _cmd_simulate(args):
@@ -152,9 +153,7 @@ def _cmd_simulate(args):
                 report["fidelity"] = simulator.state_fidelity(final, target_state)
         else:
             full = simulator.evolve(schedule, np.eye(2**n, dtype=complex))
-            basis = np.column_stack(
-                [phi_state(n, m).amplitudes for m in range(n + 1)]
-            )
+            basis = dicke_basis(n)
             block = basis.conj().T @ full @ basis
             report["final_unitary"] = matrix_to_json(block)
             if target_matrix is not None:
@@ -198,7 +197,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("invariance", help="permutation-invariance check")
-    p.add_argument("--n", type=int, choices=range(2, 7), required=True)
+    p.add_argument("--n", type=int, choices=range(2, N_MAX + 1), required=True)
     p.add_argument("--matrix", required=True)
     p.set_defaults(func=_cmd_invariance)
 
@@ -238,8 +237,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.verb == "model" and not 2 <= args.n <= 6:
-        parser.error("model needs 2 <= n <= 6 (the zz coupling needs pairs)")
+    if args.verb == "model" and not 2 <= args.n <= N_MAX:
+        parser.error(f"model needs 2 <= n <= {N_MAX} (the zz coupling needs pairs)")
     try:
         payload, code = args.func(args)
     except (ValueError, RuntimeError, OSError, KeyError) as exc:

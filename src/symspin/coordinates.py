@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import hamiltonian_x, hamiltonian_y, hamiltonian_zz, phi_state
+from .spin_model import dicke_basis, hamiltonian_x, hamiltonian_y, hamiltonian_zz
 
 _SQ2 = np.sqrt(2.0)
 _SQ3 = np.sqrt(3.0)
@@ -96,8 +96,7 @@ def basis_T_hat() -> np.ndarray:
 def basis_M() -> BasisChange:
     psi = singlet_states(3)
     chi = mixed_states()
-    phi = [phi_state(3, m).amplitudes for m in range(4)]
-    m_dag = np.column_stack(psi + chi + phi)
+    m_dag = np.column_stack(psi + chi + [dicke_basis(3)])
     return BasisChange(n=3, matrix=m_dag.conj().T, block_sizes=[2, 2, 4])
 
 
@@ -136,14 +135,14 @@ def block_split(b: BasisChange, a) -> BlockForm:
         mask[sl, sl] = False
         start += size
     residual = float(np.max(np.abs(m[mask]))) if mask.any() else 0.0
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise ValueError(
             f"off-block residual {residual:.3e}: input is not in the "
             "permutation invariant algebra"
         )
     if b.n == 3:
         gap = float(np.max(np.abs(blocks[0] - blocks[1])))
-        if gap > 1e-10:
+        if not gap <= 1e-10:
             raise ValueError(f"doublet blocks differ by {gap:.3e}")
     return BlockForm(blocks=blocks, residual=residual)
 
@@ -204,9 +203,7 @@ def _three_spin_action_table():
 def verify_appendix_b(tol: float = 1e-12) -> dict:
     """Check all 24 stated generator actions on the adapted three-spin
     states by direct matrix-vector arithmetic."""
-    states = singlet_states(3) + mixed_states() + [
-        phi_state(3, m).amplitudes for m in range(4)
-    ]
+    states = singlet_states(3) + mixed_states() + list(dicke_basis(3).T)
     hams = {
         "x": hamiltonian_x(3),
         "y": hamiltonian_y(3),

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import SpinState, hamiltonian_x, hamiltonian_y, hamiltonian_zz
+from .spin_model import N_MAX, SpinState, hamiltonian_x, hamiltonian_y, hamiltonian_zz
 from .synthesis import TWO_PI, SynthesisPlan
-from .tensor_core import mat_exp
+from .tensor_core import mat_exp, require_unitary
 
 
 @dataclass
@@ -38,8 +38,8 @@ class PulseSchedule:
     segments: list
 
     def __post_init__(self):
-        if not 2 <= self.n <= 6:
-            raise ValueError(f"schedule needs 2 <= n <= 6, got {self.n}")
+        if not 2 <= self.n <= N_MAX:
+            raise ValueError(f"schedule needs 2 <= n <= {N_MAX}, got {self.n}")
 
 
 def schedule_to_json(schedule: PulseSchedule) -> dict:
@@ -120,14 +120,9 @@ def evolve(schedule: PulseSchedule, initial):
 
 def gate_fidelity(u, v) -> float:
     """Phase-insensitive overlap |tr(u^dag v)| / d between two unitaries."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("inputs must be square matrices of equal size")
-    d = u.shape[0]
-    for m in (u, v):
-        if np.max(np.abs(m @ m.conj().T - np.eye(d))) > 1e-8:
-            raise ValueError("inputs must be unitary")
+    d = np.shape(u)[0] if np.ndim(u) else 0
+    u = require_unitary(u, d, "inputs")
+    v = require_unitary(v, d, "inputs")
     return float(abs(np.trace(u.conj().T @ v)) / d)
 
 

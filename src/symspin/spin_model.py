@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
@@ -30,7 +31,7 @@ class SpinState:
             raise ValueError(
                 f"state for n={self.n} needs {2 ** self.n} amplitudes"
             )
-        if abs(np.linalg.norm(self.amplitudes) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(self.amplitudes) - 1.0) <= 1e-12:
             raise ValueError("state is not normalized")
 
 
@@ -98,31 +99,39 @@ def transposition(n: int, j: int) -> np.ndarray:
     _check_n(n, n_min=2)
     if not 1 <= j <= n - 1:
         raise ValueError(f"transposition index j={j} outside [1, {n - 1}]")
-    dim = 2 ** n
-    p = np.zeros((dim, dim), dtype=complex)
-    # bit j counted from the most significant side
-    hi, lo = n - j, n - j - 1
-    for idx in range(dim):
-        b_hi = (idx >> hi) & 1
-        b_lo = (idx >> lo) & 1
-        swapped = idx & ~(1 << hi) & ~(1 << lo)
-        swapped |= b_lo << hi
-        swapped |= b_hi << lo
-        p[swapped, idx] = 1.0
+    swap = _swap_index(n, j)
+    p = np.zeros((swap.size, swap.size), dtype=complex)
+    p[swap, np.arange(swap.size)] = 1.0
     return p
 
 
-def is_permutation_invariant(a: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff a commutes with every adjacent-spin swap within tol."""
+@lru_cache(maxsize=None)
+def _swap_index(n: int, j: int) -> np.ndarray:
+    """Read-only basis index permutation of the swap of spins j and j+1."""
+    idx = np.arange(2 ** n)
+    hi, lo = n - j, n - j - 1  # bit j counted from the most significant side
+    swap = idx ^ (((idx >> hi) ^ (idx >> lo)) & 1) * ((1 << hi) | (1 << lo))
+    swap.flags.writeable = False
+    return swap
+
+
+def permutation_residual(a: np.ndarray) -> float:
+    """Largest entry of |P a P - a| over the adjacent-spin swaps P; NaN stays NaN."""
     dim = a.shape[0]
     n = dim.bit_length() - 1
     if 2 ** n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
-    for j in range(1, n):
-        pj = transposition(n, j)
-        if np.abs(pj @ a @ pj - a).max() > tol:
-            return False
-    return True
+    _check_n(n, n_min=0)
+    residuals = [
+        np.abs(a[np.ix_(swap, swap)] - a).max()
+        for swap in (_swap_index(n, j) for j in range(1, n))
+    ]
+    return float(np.max(residuals, initial=0.0))
+
+
+def is_permutation_invariant(a: np.ndarray, tol: float = 1e-10) -> bool:
+    """True iff a commutes with every adjacent-spin swap within tol."""
+    return permutation_residual(a) <= tol
 
 
 def phi_state(n: int, m: int) -> SpinState:
@@ -130,11 +139,15 @@ def phi_state(n: int, m: int) -> SpinState:
     _check_n(n)
     if not 0 <= m <= n:
         raise ValueError(f"excitation count m={m} outside [0, {n}]")
-    v = np.zeros(2 ** n, dtype=complex)
-    for idx in range(2 ** n):
-        if bin(idx).count("1") == m:
-            v[idx] = 1.0
-    return SpinState(n=n, amplitudes=v / sqrt(comb(n, m)))
+    idx = np.arange(2 ** n)
+    ones = ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    return SpinState(n=n, amplitudes=(ones == m) / sqrt(comb(n, m)))
+
+
+def dicke_basis(n: int) -> np.ndarray:
+    """The 2^n x (n+1) matrix whose column m is ``phi_state(n, m)``: an
+    orthonormal basis of the permutation-symmetric subspace."""
+    return np.column_stack([phi_state(n, m).amplitudes for m in range(n + 1)])
 
 
 def ghz_state(n: int) -> SpinState:

@@ -23,7 +23,10 @@ from scipy.linalg import cossin, expm
 from scipy.optimize import least_squares
 
 from .coordinates import basis_M, basis_T, basis_T_hat, conjugate
-from .spin_model import hamiltonian_x, hamiltonian_y, hamiltonian_zz
+from .spin_model import (
+    SpinState, dicke_basis, hamiltonian_x, hamiltonian_y, hamiltonian_zz
+)
+from .tensor_core import require_unitary
 
 _SQ3 = np.sqrt(3.0)
 TWO_PI = 2.0 * np.pi
@@ -150,6 +153,8 @@ def plan_to_json(plan: SynthesisPlan) -> dict:
 
 def plan_from_json(data: dict) -> SynthesisPlan:
     steps = [(s["gen"], float(s["t"])) for s in data["steps"]]
+    if not all(np.isfinite(t) for _, t in steps):
+        raise ValueError("plan has non-finite durations")
     return SynthesisPlan(
         n=int(data["n"]),
         steps=steps,
@@ -224,14 +229,7 @@ def su2_two_axis(target, tol: float = 1e-10) -> list:
     peels off a fixed quarter-period second-axis factor, which maps the
     remainder back into reach of the three-factor form.
     """
-    v = np.asarray(target, dtype=complex)
-    if v.shape != (2, 2):
-        raise ValueError("target must be 2x2")
-    if np.max(np.abs(v @ v.conj().T - np.eye(2))) > 1e-8:
-        raise ValueError("target must be unitary")
-    det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    if abs(det - 1.0) > 1e-8:
-        raise ValueError("target must have unit determinant")
+    v, det = require_unitary(target, 2, "target", special=True)
     v = v * det ** -0.5
 
     if abs(v[0, 0]) >= 0.5 - 1e-12:
@@ -380,16 +378,11 @@ def _plane_blocks(k):
 def k_factor_plan(k) -> SynthesisPlan:
     """Plan for a stabilizer-group element (block-diagonal on the two
     planes with balanced determinants)."""
-    k = np.asarray(k, dtype=complex)
-    if k.shape != (4, 4):
-        raise ValueError("stabilizer factor must be 4x4")
+    k, _ = require_unitary(k, 4, "stabilizer factor", special=True)
     u1, u2, off = _plane_blocks(k)
     if off > 1e-10:
         raise ValueError(f"off-plane residual {off:.3e}: not a stabilizer factor")
-    d1 = u1[0, 0] * u1[1, 1] - u1[0, 1] * u1[1, 0]
     d2 = u2[0, 0] * u2[1, 1] - u2[0, 1] * u2[1, 0]
-    if abs(d1 * d2 - 1.0) > 1e-8:
-        raise ValueError("plane determinants are not balanced")
     mu = np.angle(d2) / 2
     v1 = np.exp(1j * mu) * u1
     v2 = np.exp(-1j * mu) * u2
@@ -418,9 +411,7 @@ def torus_factor_plan(a) -> SynthesisPlan:
     diagonal unitary realized with +/- quarter-period free-evolution
     wrappers around per-plane phase rotations.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (4, 4):
-        raise ValueError("torus factor must be 4x4")
+    a = require_unitary(a, 4, "torus factor")
     theta1 = np.arctan2(a[0, 2].real, a[0, 0].real)
     theta2 = np.arctan2(a[1, 3].real, a[1, 1].real)
     s = theta1 - theta2
@@ -465,14 +456,7 @@ def kak_su3(x) -> CartanFactors:
     """Orthogonal-diagonal-orthogonal factorization of an SU(3) matrix:
     x = k1 @ a @ k2 with k1, k2 real special orthogonal and a a unit
     modulus diagonal."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (3, 3):
-        raise ValueError("input must be 3x3")
-    if np.max(np.abs(x @ x.conj().T - np.eye(3))) > 1e-8:
-        raise ValueError("input must be unitary")
-    det = np.linalg.det(x)
-    if abs(det - 1.0) > 1e-8:
-        raise ValueError("input must have unit determinant")
+    x, det = require_unitary(x, 3, "input", special=True)
     x = x * det ** (-1.0 / 3.0)
 
     m = x @ x.T
@@ -530,14 +514,7 @@ def kak_aiii_su4(x) -> CartanFactors:
 
 
 def _kak_aiii_internal(x):
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (4, 4):
-        raise ValueError("input must be 4x4")
-    if np.max(np.abs(x @ x.conj().T - np.eye(4))) > 1e-8:
-        raise ValueError("input must be unitary")
-    det = np.linalg.det(x)
-    if abs(det - 1.0) > 1e-8:
-        raise ValueError("input must have unit determinant")
+    x, det = require_unitary(x, 4, "input", special=True)
     x = x * det ** (-0.25)
 
     pm = _PERM_AIII
@@ -752,12 +729,7 @@ def synthesize(n: int, target, rng=None) -> SynthesisPlan:
     """
     if n not in (2, 3):
         raise ValueError("synthesis is implemented for n in {2, 3}")
-    target = np.asarray(target, dtype=complex)
-    dim = n + 1
-    if target.shape != (dim, dim):
-        raise ValueError(f"target must be {dim}x{dim}")
-    if np.max(np.abs(target @ target.conj().T - np.eye(dim))) > 1e-8:
-        raise ValueError("target must be unitary")
+    target = require_unitary(target, n + 1, "target")
     if n == 2:
         return _synthesize_two(target)
     if rng is None:
@@ -769,19 +741,17 @@ def synthesize(n: int, target, rng=None) -> SynthesisPlan:
 
 
 def _symmetric_coords(n: int, state) -> np.ndarray:
-    from .spin_model import SpinState, phi_state
-
     amps = state.amplitudes if isinstance(state, SpinState) else np.asarray(
         state, dtype=complex
     )
     if amps.shape != (2**n,):
         raise ValueError("state has wrong dimension")
-    basis = np.column_stack([phi_state(n, m).amplitudes for m in range(n + 1)])
+    basis = dicke_basis(n)
     coords = basis.conj().T @ amps
-    if np.max(np.abs(amps - basis @ coords)) > 1e-10:
+    if not np.max(np.abs(amps - basis @ coords)) <= 1e-10:
         raise ValueError("state is not permutation invariant")
     norm = np.linalg.norm(coords)
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise ValueError("state must be normalized")
     return coords / norm
 

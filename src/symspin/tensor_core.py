@@ -2,7 +2,8 @@
 
 Matrices are plain complex ``numpy.ndarray`` values.  Everything here is a
 pure function; the structural predicates share a single default tolerance
-``TAU_STRUCT``.
+``TAU_STRUCT``, and ``require_unitary`` checks unitaries handed in by
+callers against ``TAU_INPUT``.
 
 Sign convention: ``pauli("y")`` returns ``[[0, i], [-i, 0]]``, which is the
 negative of the textbook sigma-y.  All commutation identities used elsewhere
@@ -16,6 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 TAU_STRUCT = 1e-12
+TAU_INPUT = 1e-8
 
 _PAULI = {
     "0": np.eye(2, dtype=complex),
@@ -103,6 +105,26 @@ def is_unitary(a: np.ndarray, tol: float = TAU_STRUCT) -> bool:
     return bool(np.abs(a.conj().T @ a - np.eye(d)).max() <= tol)
 
 
+def require_unitary(a, dim: int, what: str, special: bool = False):
+    """Return ``a`` as a complex ``dim x dim`` unitary, or raise ValueError.
+
+    Non-finite entries are rejected too.  With ``special`` the determinant
+    must be 1 within ``TAU_INPUT``, and ``(a, det)`` is returned for
+    callers that normalise by it.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (dim, dim):
+        raise ValueError(f"{what} must be {dim}x{dim}")
+    if not (np.all(np.isfinite(a)) and is_unitary(a, TAU_INPUT)):
+        raise ValueError(f"{what} must be unitary")
+    if not special:
+        return a
+    det = np.linalg.det(a)
+    if not abs(det - 1.0) <= TAU_INPUT:
+        raise ValueError(f"{what} must have unit determinant")
+    return a, det
+
+
 def hermitian_eig(a: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -135,4 +157,6 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     a = np.array([[complex(re, im) for re, im in row] for row in doc["entries"]])
     if a.shape != (dim, dim):
         raise ValueError(f"entries shape {a.shape} does not match dim {dim}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     return a

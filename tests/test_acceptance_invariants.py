@@ -1,7 +1,8 @@
 """The basis-invariant checks behind criteria 1, 4, 9 and 10.
 
 Each check must accept the corrected stated value and reject the value it
-replaced, so a wrong target cannot pass again unnoticed.
+replaced, so a wrong target cannot pass again unnoticed.  Criterion 2 must
+report the residual it measured, not a fixed number.
 """
 
 from math import comb
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from symspin import acceptance, lie_engine
-from symspin.spin_model import hamiltonian_zz
+from symspin.spin_model import hamiltonian_zz, transposition
 from symspin.synthesis import B3, C3
 
 
@@ -73,3 +74,16 @@ def test_old_quarter_turn_target_breaks_the_norm():
     assert np.linalg.norm(B3) == pytest.approx(1.0)
     assert np.linalg.norm(C3) == pytest.approx(2.0)
     assert np.linalg.norm(C3 / 2) == pytest.approx(np.linalg.norm(B3))
+
+
+def test_criterion_2_reports_the_measured_worst_residual():
+    worst = acceptance.criterion_2()["details"]["worst_recorded"]
+    dense = max(
+        np.abs(p @ b @ p - b).max()
+        for n in range(2, 6)
+        for p in (transposition(n, j) for j in range(1, n))
+        for b in acceptance._closure(n).elements
+    )
+    assert isinstance(worst, float)
+    assert worst == pytest.approx(dense, rel=1e-9, abs=0.0)
+    assert worst <= 1e-10

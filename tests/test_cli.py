@@ -158,3 +158,30 @@ def test_verify_all_exit_code_tracks_results(capsys):
     assert all({"id", "description", "passed", "details"} <= set(c) for c in doc["criteria"])
     # the exit code must reflect the verdicts, never mask them
     assert code == (0 if doc["all_passed"] else 1)
+
+
+def _assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])
+
+
+@pytest.mark.parametrize(
+    "verb, flag, n, dim",
+    [("invariance", "--matrix", 3, 8), ("synth", "--target", 2, 3),
+     ("synth", "--target", 3, 4)],
+)
+def test_nan_matrix_file_is_one_line_error(capsys, tmp_path, verb, flag, n, dim):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"dim": dim, "entries": [[[np.nan, 0.0]] * dim] * dim}))
+    _assert_one_line_error(*_run(capsys, verb, "--n", str(n), flag, str(path)))
+
+
+def test_simulate_rejects_nan_duration(capsys, tmp_path):
+    path = tmp_path / "plan.json"
+    plan = {"n": 3, "steps": [{"gen": "BX", "t": np.nan}], "phase": 0.0,
+            "reconstruction_error": 0.0}
+    path.write_text(json.dumps(plan))
+    _assert_one_line_error(*_run(capsys, "simulate", "--schedule", str(path)))

@@ -5,6 +5,7 @@ import pytest
 
 from symspin.spin_model import (
     SpinState,
+    dicke_basis,
     generator_strings,
     ghz_state,
     hamiltonian_x,
@@ -12,6 +13,7 @@ from symspin.spin_model import (
     hamiltonian_zz,
     is_permutation_invariant,
     ket,
+    permutation_residual,
     phi_state,
     state_from_json,
     state_to_json,
@@ -136,3 +138,43 @@ def test_state_json_round_trip():
     back = state_from_json(doc)
     assert np.array_equal(back.amplitudes, s.amplitudes)
     assert back.n == 3
+
+
+def _loop_transposition(n, j):
+    dim = 2**n
+    p = np.zeros((dim, dim), dtype=complex)
+    hi, lo = n - j, n - j - 1
+    for idx in range(dim):
+        b_hi, b_lo = (idx >> hi) & 1, (idx >> lo) & 1
+        swapped = idx & ~(1 << hi) & ~(1 << lo) | b_lo << hi | b_hi << lo
+        p[swapped, idx] = 1.0
+    return p
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_transposition_and_phi_state_match_loop_references(n):
+    for j in range(1, n):
+        assert np.array_equal(transposition(n, j), _loop_transposition(n, j))
+    for m in range(n + 1):
+        ref = np.array([bin(i).count("1") == m for i in range(2**n)], dtype=complex)
+        ref /= np.sqrt(np.count_nonzero(ref))
+        assert np.array_equal(phi_state(n, m).amplitudes, ref)
+        assert np.array_equal(dicke_basis(n)[:, m], ref)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_permutation_residual_matches_dense_reference(n):
+    rng = np.random.default_rng(n)
+    dim = 2**n
+    noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for a in (hamiltonian_zz(n) + 0.3 * hamiltonian_x(n), noise):
+        ref = max(
+            np.abs(p @ a @ p - a).max()
+            for p in (transposition(n, j) for j in range(1, n))
+        )
+        got = permutation_residual(a)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert is_permutation_invariant(a) == (ref <= 1e-10)
+        assert is_permutation_invariant(a, tol=got)
+        if got > 0:
+            assert not is_permutation_invariant(a, tol=0.5 * got)
