@@ -26,6 +26,7 @@ from .spin_model import (
     hamiltonian_y,
     hamiltonian_zz,
     is_permutation_invariant,
+    spin_frame,
     symmetric_generator,
 )
 from .tensor_core import TAU_STRUCT, commutator, is_skew_hermitian
@@ -162,20 +163,11 @@ def _standard_generators(n: int):
 
 
 def _spin_j_projectors(n: int) -> dict:
-    """Projectors onto the total-spin-j isotypic components of n spins,
-    keyed by 2j.
-
-    They come from the Casimir J^2 = (H_x^2 + H_y^2)/4 + (H_zz + n/2)/2,
-    whose eigenvalue on the spin-j component is j(j+1).
-    """
-    hx, hy, hzz = hamiltonian_x(n), hamiltonian_y(n), hamiltonian_zz(n)
-    casimir = (hx @ hx + hy @ hy) / 4 + (hzz + (n / 2) * np.eye(2**n)) / 2
-    evals, vecs = np.linalg.eigh(casimir)
-    two_j = np.rint(np.sqrt(1 + 4 * evals) - 1).astype(int)
-    return {
-        int(k): vecs[:, two_j == k] @ vecs[:, two_j == k].conj().T
-        for k in np.unique(two_j)
-    }
+    """Projectors S_j S_j^dag onto the total-spin-j isotypic components of
+    n spins, keyed by 2j, from the columns S_j of ``spin_frame(n)``."""
+    frame = spin_frame(n)
+    columns = {b.two_j: frame.basis[:, b.columns] for b in frame.blocks}
+    return {two_j: s @ s.conj().T for two_j, s in columns.items()}
 
 
 def _all_triples(n: int):

@@ -6,6 +6,14 @@ register.  ``realize`` lowers an abstract synthesis plan to such a
 schedule for a given drive amplitude: pulse steps become hard pulses of
 duration |t|/amplitude and free steps become bare coupling evolution,
 with durations folded by the block periodicities.
+
+``evolve`` never forms a 2^n propagator per segment.  The Hamiltonian is
+permutation invariant, so in the Schur frame S of ``spin_model.spin_frame``
+every segment acts as the same (2j+1)-dimensional matrix on each copy of
+spin j.  One batched eigendecomposition per j gives all segment
+exponentials, their product W_j is the whole schedule on that block, and
+the input is moved into the frame and back once: S (+)_j (I_mult (x) W_j) S^dag.
+This is exact for any state or unitary, symmetric or not.
 """
 
 from __future__ import annotations
@@ -14,9 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import N_MAX, SpinState, hamiltonian_x, hamiltonian_y, hamiltonian_zz
+from .spin_model import N_MAX, SpinState, spin_frame
+# The dense Hamiltonian functions stay simulator attributes for callers that
+# wrap them (perfbench's tracer does); evolve itself never calls them.
+from .spin_model import hamiltonian_x, hamiltonian_y, hamiltonian_zz  # noqa: F401
 from .synthesis import TWO_PI, SynthesisPlan
-from .tensor_core import mat_exp, require_unitary
+from .tensor_core import TAU_INPUT, require_unitary
 
 
 @dataclass
@@ -67,8 +78,8 @@ def realize(plan: SynthesisPlan, amplitude: float) -> PulseSchedule:
     coupling block repeats up to phase (pi for three spins, 2*pi for
     two); pulse signs go into the drive amplitude sign.
     """
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
+    if not (np.isfinite(amplitude) and amplitude > 0):
+        raise ValueError("amplitude must be positive and finite")
     segments = []
     for tag, t in plan.steps:
         if tag == "AZZ":
@@ -97,24 +108,46 @@ def realize(plan: SynthesisPlan, amplitude: float) -> PulseSchedule:
     return PulseSchedule(n=plan.n, segments=segments)
 
 
+def _block_propagator(hamiltonians, drives) -> np.ndarray:
+    """Product, first segment rightmost, of exp(-i (h_zz + ux h_x + uy h_y) dt)
+    over the (ux, uy, dt) rows of ``drives``, for one spin-j block."""
+    ux, uy, dt = drives.T
+    h_zz, h_x, h_y = hamiltonians
+    h = h_zz + ux[:, None, None] * h_x + uy[:, None, None] * h_y
+    vals, vecs = np.linalg.eigh(h)
+    phases = np.exp(-1j * vals * dt[:, None])
+    steps = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    out = np.eye(len(h_zz), dtype=complex)
+    for step in steps:
+        out = step @ out
+    return out
+
+
 def evolve(schedule: PulseSchedule, initial):
     """Propagate a state or unitary through the schedule, first segment
     first.  Returns a SpinState for state input, an ndarray otherwise."""
     n = schedule.n
-    hzz, hx, hy = hamiltonian_zz(n), hamiltonian_x(n), hamiltonian_y(n)
     if isinstance(initial, SpinState):
         if initial.n != n:
             raise ValueError("state size does not match schedule")
-        out = initial.amplitudes.copy()
+        out = initial.amplitudes
         as_state = True
     else:
-        out = np.asarray(initial, dtype=complex).copy()
+        out = np.asarray(initial, dtype=complex)
         as_state = False
         if out.shape not in ((2**n,), (2**n, 2**n)):
             raise ValueError("initial has wrong dimension for the schedule")
-    for seg in schedule.segments:
-        u = mat_exp(-1j * (hzz + seg.ux * hx + seg.uy * hy) * seg.dt)
-        out = u @ out
+        if not np.all(np.isfinite(out)):
+            raise ValueError("initial has non-finite entries")
+    frame = spin_frame(n)
+    drives = np.array([(s.ux, s.uy, s.dt) for s in schedule.segments]).reshape(-1, 3)
+    coeffs = frame.basis.conj().T @ out
+    for block in frame.blocks:
+        w = _block_propagator(block.hamiltonians, drives)
+        part = coeffs[block.columns]
+        copies = part.reshape(block.multiplicity, block.size, -1)
+        coeffs[block.columns] = (w @ copies).reshape(part.shape)
+    out = frame.basis @ coeffs
     return SpinState(n=n, amplitudes=out) if as_state else out
 
 
@@ -126,10 +159,18 @@ def gate_fidelity(u, v) -> float:
     return float(abs(np.trace(u.conj().T @ v)) / d)
 
 
+def _state_vector(s) -> np.ndarray:
+    if isinstance(s, SpinState):
+        return s.amplitudes
+    v = np.asarray(s, dtype=complex)
+    if not (np.all(np.isfinite(v)) and abs(np.linalg.norm(v) - 1.0) <= TAU_INPUT):
+        raise ValueError("states must be finite with unit norm")
+    return v
+
+
 def state_fidelity(a, b) -> float:
-    """Squared overlap of two pure states."""
-    av = a.amplitudes if isinstance(a, SpinState) else np.asarray(a, dtype=complex)
-    bv = b.amplitudes if isinstance(b, SpinState) else np.asarray(b, dtype=complex)
+    """Squared overlap of two pure states (SpinStates or unit vectors)."""
+    av, bv = _state_vector(a), _state_vector(b)
     if av.shape != bv.shape:
         raise ValueError("states have different dimensions")
     return float(abs(np.vdot(av, bv)) ** 2)

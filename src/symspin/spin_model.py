@@ -1,4 +1,5 @@
-"""Hamiltonians, symmetric generators, spin permutations, and named states.
+"""Hamiltonians, symmetric generators, spin permutations, named states, and
+the total-spin (Schur) frame.
 
 The computational basis is ordered with spin 1 as the most significant bit:
 for three spins, |100> sits at index 4.
@@ -13,7 +14,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .tensor_core import pauli_string_matrix
+from .tensor_core import TAU_STRUCT, pauli_string_matrix
 
 N_MAX = 6
 
@@ -70,6 +71,98 @@ def hamiltonian_zz(n: int) -> np.ndarray:
         labels[m] = "z"
         h += pauli_string_matrix(labels)
     return h
+
+
+@dataclass(frozen=True)
+class SpinBlock:
+    """The copies of one total spin j in a ``SpinFrame``.
+
+    ``columns`` selects them from ``SpinFrame.basis``: ``multiplicity``
+    copies one after the other, each ordered m = j, j-1, ..., -j.
+    ``hamiltonians`` is the read-only (3, 2j+1, 2j+1) stack of H_zz, H_x
+    and H_y restricted to one copy; every copy carries the same matrices.
+    """
+
+    two_j: int
+    multiplicity: int
+    columns: slice
+    hamiltonians: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.two_j + 1
+
+
+@dataclass(frozen=True)
+class SpinFrame:
+    """Unitary ``basis`` S (read-only) with S^dag H S = (+)_j I_mult (x) H_j
+    for H = H_zz, H_x, H_y; ``blocks`` lists j in descending order."""
+
+    n: int
+    basis: np.ndarray
+    blocks: tuple
+
+
+def _ones(n: int) -> np.ndarray:
+    """Number of spins in |1> for each computational basis ket."""
+    idx = np.arange(2 ** n)
+    return ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
+
+
+@lru_cache(maxsize=None)
+def spin_frame(n: int) -> SpinFrame:
+    """Schur frame of n spins: every permutation-invariant Hamiltonian of
+    the model is block diagonal in it, one block per copy of each spin j.
+
+    Each copy starts from a highest-weight vector, an orthonormal null
+    vector of the raising operator J_+ on the kets with J_z = j, and is
+    lowered by J_- with the standard ladder normalisation
+    sqrt(j(j+1) - m(m-1)).  J_+ is taken as the part of H_x = J_+ + J_-
+    that lowers the number of ones, so no sign convention of H_y enters.
+    Raises RuntimeError if the frame is not unitary or does not block the
+    Hamiltonians within 1e-12.
+    """
+    _check_n(n, n_min=2)
+    dim = 2 ** n
+    hams = np.array([hamiltonian_zz(n), hamiltonian_x(n), hamiltonian_y(n)])
+    ones = _ones(n)
+    raising = np.where(ones[:, None] < ones[None, :], hams[1], 0.0)
+    lowering = raising.conj().T
+    blocks, columns = [], []
+    for two_j in range(n, -1, -2):
+        top = np.flatnonzero(ones == (n - two_j) // 2)  # the kets with m = j
+        _, sv, vh = np.linalg.svd(raising[:, top])
+        mult = int(np.sum(sv <= 1e-8))
+        ladder = [np.zeros((dim, mult), dtype=complex)]
+        ladder[0][top] = vh[top.size - mult:].conj().T
+        for m2 in range(two_j, -two_j, -2):  # 2m from 2j down to -2j + 2
+            scale = sqrt((two_j * (two_j + 2) - m2 * (m2 - 2)) / 4)
+            ladder.append(lowering @ ladder[-1] / scale)
+        copies = np.stack(ladder, axis=2).reshape(dim, mult * (two_j + 1))
+        first = copies[:, : two_j + 1]
+        block_hams = first.conj().T @ hams @ first
+        block_hams.flags.writeable = False
+        start = sum(c.shape[1] for c in columns)
+        columns.append(copies)
+        blocks.append(
+            SpinBlock(two_j, mult, slice(start, start + copies.shape[1]), block_hams)
+        )
+    basis = np.hstack(columns)
+    if basis.shape != (dim, dim):
+        raise RuntimeError(f"spin frame of n={n} has {basis.shape[1]} columns, not {dim}")
+    expected = np.zeros_like(hams)
+    for b in blocks:
+        for h, hb in zip(expected, b.hamiltonians):
+            h[b.columns, b.columns] = np.kron(np.eye(b.multiplicity), hb)
+    unitarity = np.abs(basis.conj().T @ basis - np.eye(dim)).max()
+    blocking = np.abs(basis.conj().T @ hams @ basis - expected).max()
+    if not (unitarity <= TAU_STRUCT and blocking <= TAU_STRUCT):
+        raise RuntimeError(
+            f"spin frame of n={n}: unitarity error {unitarity:.2e}, "
+            f"off-block error {blocking:.2e}"
+        )
+    basis.flags.writeable = False
+    return SpinFrame(n, basis, tuple(blocks))
 
 
 def generator_strings(n: int, k_x: int, k_y: int, k_z: int):
@@ -139,9 +232,7 @@ def phi_state(n: int, m: int) -> SpinState:
     _check_n(n)
     if not 0 <= m <= n:
         raise ValueError(f"excitation count m={m} outside [0, {n}]")
-    idx = np.arange(2 ** n)
-    ones = ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
-    return SpinState(n=n, amplitudes=(ones == m) / sqrt(comb(n, m)))
+    return SpinState(n=n, amplitudes=(_ones(n) == m) / sqrt(comb(n, m)))
 
 
 def dicke_basis(n: int) -> np.ndarray:

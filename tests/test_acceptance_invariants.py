@@ -11,18 +11,24 @@ import numpy as np
 import pytest
 
 from symspin import acceptance, lie_engine
-from symspin.spin_model import hamiltonian_zz, transposition
+from symspin.spin_model import hamiltonian_x, hamiltonian_y, hamiltonian_zz, transposition
 from symspin.synthesis import B3, C3
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_spin_j_projectors_match_the_decomposition(n):
     projectors = acceptance._spin_j_projectors(n)
     assert sorted(projectors) == list(range(n % 2, n + 1, 2))
     total = sum(projectors.values())
     assert np.max(np.abs(total - np.eye(2**n))) < 1e-12
+    # Casimir J^2 = J_x^2 + J_y^2 + J_z^2 with H_x = 2 J_x, H_y = +-2 J_y
+    # and H_zz = 2 J_z^2 - n/2 has eigenvalue j(j+1) on the spin-j part.
+    hx, hy = hamiltonian_x(n), hamiltonian_y(n)
+    casimir = (hx @ hx + hy @ hy) / 4 + (hamiltonian_zz(n) + n / 2 * np.eye(2**n)) / 2
     for two_j, p in projectors.items():
         assert np.max(np.abs(p @ p - p)) < 1e-12
+        j = two_j / 2
+        assert np.max(np.abs(casimir @ p - j * (j + 1) * p)) < 1e-12
         # multiplicity of spin j among n spin-1/2s
         k = (n - two_j) // 2
         mult = comb(n, k) - (comb(n, k - 1) if k > 0 else 0)

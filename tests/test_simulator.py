@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symspin.simulator import (
     PulseSchedule,
@@ -14,6 +16,8 @@ from symspin.simulator import (
     state_fidelity,
 )
 from symspin.spin_model import (
+    N_MAX,
+    SpinState,
     ghz_state,
     hamiltonian_x,
     hamiltonian_y,
@@ -66,8 +70,9 @@ def test_realize_durations_and_amplitudes():
 
 def test_realize_rejects_nonpositive_amplitude():
     plan = state_transfer_plan(2, ket(2, "00").amplitudes, ghz_state(2).amplitudes)
-    with pytest.raises(ValueError):
-        realize(plan, 0.0)
+    for amplitude in (0.0, -1.0, np.inf):
+        with pytest.raises(ValueError):
+            realize(plan, amplitude)
 
 
 def test_pulsed_transfer_fidelity_improves_with_amplitude():
@@ -149,6 +154,14 @@ def test_state_fidelity_bounds():
     f = state_fidelity(a, b)
     assert f == pytest.approx(0.5, abs=1e-12)
     assert state_fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
+    assert state_fidelity(a.amplitudes, b.amplitudes) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_state_fidelity_rejects_unnormalized_arrays():
+    with pytest.raises(ValueError):
+        state_fidelity(np.full(4, 3.0), ket(2, "00"))
+    with pytest.raises(ValueError):
+        state_fidelity(ket(2, "00"), np.array([1.0, 1e-3, 0.0, 0.0]))
 
 
 def test_schedule_json_round_trip():
@@ -176,3 +189,72 @@ def test_synthesized_gate_survives_realization():
     target = q * np.exp(-1j * np.angle(np.linalg.det(q)) / 4)
     plan = synthesize(3, target, rng=rng)
     assert plan.reconstruction_error < 1e-9
+
+
+def _dense_evolve(schedule, initial):
+    """Reference: one dense 2^n matrix exponential per segment."""
+    n = schedule.n
+    out = np.asarray(initial, dtype=complex)
+    for seg in schedule.segments:
+        h = hamiltonian_zz(n) + seg.ux * hamiltonian_x(n) + seg.uy * hamiltonian_y(n)
+        out = mat_exp(-1j * h * seg.dt) @ out
+    return out
+
+
+def _schedules(rng):
+    random = [
+        PulseSegment(ux=rng.uniform(-2, 2), uy=rng.uniform(-2, 2), dt=rng.uniform(0, 1))
+        for _ in range(8)
+    ]
+    # Zero drive leaves H_zz, whose spectrum is degenerate on every block.
+    free = [PulseSegment(0.0, 0.0, 0.7), PulseSegment(0.0, 0.0, 2.3)]
+    hard = [
+        PulseSegment(1000.0, 0.0, 0.8e-3),
+        PulseSegment(0.0, 0.0, 0.4),
+        PulseSegment(0.0, -1000.0, 1.9e-3),
+        PulseSegment(-1000.0, 0.0, 3.1e-3),
+    ]
+    return {"random": random, "zero_drive": free, "hard_1000": hard, "empty": []}
+
+
+@pytest.mark.parametrize("kind", ["random", "zero_drive", "hard_1000", "empty"])
+@pytest.mark.parametrize("n", range(2, N_MAX + 1))
+def test_block_evolve_matches_dense_reference(n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    schedule = PulseSchedule(n=n, segments=_schedules(rng)[kind])
+    eye = np.eye(2**n, dtype=complex)
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    v /= np.linalg.norm(v)  # generic, so not permutation symmetric
+    assert np.abs(evolve(schedule, eye) - _dense_evolve(schedule, eye)).max() < 1e-12
+    state = evolve(schedule, SpinState(n, v))
+    assert np.abs(state.amplitudes - _dense_evolve(schedule, v)).max() < 1e-12
+    assert np.abs(evolve(schedule, v) - state.amplitudes).max() < 1e-12
+
+
+_SEGMENTS = st.lists(
+    st.builds(
+        PulseSegment,
+        ux=st.floats(-5.0, 5.0),
+        uy=st.floats(-5.0, 5.0),
+        dt=st.floats(0.0, 2.0),
+    ),
+    max_size=8,
+)
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(n=st.integers(2, N_MAX), segments=_SEGMENTS, cut=st.integers(0, 8))
+def test_evolving_head_then_tail_equals_evolving_the_whole(n, segments, cut):
+    head = PulseSchedule(n=n, segments=segments[:cut])
+    tail = PulseSchedule(n=n, segments=segments[cut:])
+    eye = np.eye(2**n, dtype=complex)
+    whole = evolve(PulseSchedule(n=n, segments=segments), eye)
+    assert np.abs(evolve(tail, evolve(head, eye)) - whole).max() < 1e-12
+
+
+@_PROPERTY
+@given(n=st.integers(2, N_MAX), segments=_SEGMENTS)
+def test_evolved_identity_is_unitary(n, segments):
+    u = evolve(PulseSchedule(n=n, segments=segments), np.eye(2**n, dtype=complex))
+    assert np.abs(u.conj().T @ u - np.eye(2**n)).max() < 1e-12

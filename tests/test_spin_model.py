@@ -1,5 +1,7 @@
 """Checks for the collective spin Hamiltonians and named states."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from symspin.spin_model import (
     ket,
     permutation_residual,
     phi_state,
+    spin_frame,
     state_from_json,
     state_to_json,
     symmetric_generator,
@@ -178,3 +181,43 @@ def test_permutation_residual_matches_dense_reference(n):
         assert is_permutation_invariant(a, tol=got)
         if got > 0:
             assert not is_permutation_invariant(a, tol=0.5 * got)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_spin_frame_is_unitary_and_blocks_every_copy_alike(n):
+    frame = spin_frame(n)
+    s = frame.basis
+    assert not s.flags.writeable and spin_frame(n) is frame
+    assert np.abs(s.conj().T @ s - np.eye(2**n)).max() < 1e-12
+    assert [b.two_j for b in frame.blocks] == list(range(n, -1, -2))
+    for ham, k in ((hamiltonian_zz, 0), (hamiltonian_x, 1), (hamiltonian_y, 2)):
+        framed = s.conj().T @ ham(n) @ s
+        expected = np.zeros_like(framed)
+        for b in frame.blocks:
+            h = b.hamiltonians[k]
+            assert not b.hamiltonians.flags.writeable
+            assert h.shape == (b.size, b.size)
+            for c in range(b.multiplicity):
+                at = slice(b.columns.start + c * b.size, b.columns.start + (c + 1) * b.size)
+                expected[at, at] = h
+        assert np.abs(framed - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_spin_frame_multiplicities_and_weights(n):
+    for b in spin_frame(n).blocks:
+        k = (n - b.two_j) // 2
+        assert b.multiplicity == comb(n, k) - (comb(n, k - 1) if k > 0 else 0)
+        # H_zz = 2 J_z^2 - n/2, with m running from j down to -j
+        m = np.arange(b.two_j, -b.two_j - 1, -2) / 2
+        assert np.abs(b.hamiltonians[0] - np.diag(2 * m**2 - n / 2)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_spin_frame_top_block_spans_the_dicke_basis(n):
+    frame = spin_frame(n)
+    top = frame.blocks[0]
+    assert (top.two_j, top.multiplicity) == (n, 1)
+    s_top = frame.basis[:, top.columns]
+    d = dicke_basis(n)
+    assert np.abs(s_top @ s_top.conj().T - d @ d.conj().T).max() < 1e-12

@@ -51,6 +51,19 @@ _NAN_CALLS = [
         ValueError,
     ),
     (
+        "evolve",
+        lambda: simulator.evolve(
+            simulator.PulseSchedule(2, [simulator.PulseSegment(1.0, 0.0, 0.5)]), _nan(4)
+        ),
+        ValueError,
+    ),
+    ("state_fidelity", lambda: simulator.state_fidelity(np.full(4, NAN), np.eye(4)[0]), ValueError),
+    (
+        "realize",
+        lambda: simulator.realize(synthesis.SynthesisPlan(3, [("BZZ", 1.0)]), NAN),
+        ValueError,
+    ),
+    (
         "matrix_from_json",
         lambda: matrix_from_json({"dim": 2, "entries": [[[NAN, 0], [0, 0]]] * 2}),
         ValueError,
